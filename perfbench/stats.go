@@ -1,0 +1,19 @@
+package main
+
+import "sort"
+
+// quantile is the q-quantile of xs by linear interpolation between the
+// closest ranks of the sorted sample (exact, not bucketed).
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	hi := min(lo+1, len(s)-1)
+	return s[lo] + (pos-float64(lo))*(s[hi]-s[lo])
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
